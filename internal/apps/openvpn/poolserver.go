@@ -13,9 +13,7 @@ package openvpn
 // so a burst of datagrams pays one responder wakeup.
 
 import (
-	"crypto/hmac"
-	"crypto/sha256"
-	"encoding/binary"
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -78,22 +76,10 @@ func (w *replayWindow) accept(id uint32) bool {
 	return true
 }
 
-// segMac computes the tunnel MAC over a scatter-gather frame — the
-// packet-ID header and the ciphertext body as two writes, no coalescing
-// copy (contrast Cipher.mac, which takes one contiguous frame).
-func segMac(c *Cipher, hdr, body []byte) [macSize]byte {
-	h := hmac.New(sha256.New, c.macKey[:])
-	h.Write(hdr)
-	h.Write(body)
-	var sum [sha256.Size]byte
-	var out [macSize]byte
-	copy(out[:], h.Sum(sum[:0]))
-	return out
-}
-
 // tunnelState is one connection's crypto context: both direction keys
 // and the receive replay window, behind the per-connection lock the
-// responders serialize on (openVPN's per-client context lock).
+// responders serialize on (openVPN's per-client context lock).  The lock
+// also covers the Ciphers' keyed hash state, which every frame mutates.
 type tunnelState struct {
 	mu    sync.Mutex
 	rx    *Cipher // client -> server
@@ -105,19 +91,22 @@ type tunnelState struct {
 // tunnelPad keeps adjacent connections' locks off one coherence line.
 const tunnelPad = 64
 
-// connCiphers derives connection i's deterministic direction keys (a
+// connKeys derives connection i's deterministic direction keys (a
 // deployment would run the TLS control channel instead).
+func connKeys(i int) (rxKey, txKey [16]byte, macKey [32]byte) {
+	copy(rxKey[:], "tunnel-cipher-k!")
+	copy(macKey[:], "tunnel-hmac-key-tunnel-hmac-key-")
+	rxKey[15] = byte(i)
+	macKey[31] = byte(i)
+	txKey = rxKey
+	txKey[14] ^= 0xa5 // distinct key per direction
+	return rxKey, txKey, macKey
+}
+
+// connCiphers builds connection i's two direction contexts.
 func connCiphers(i int) (rx, tx *Cipher) {
-	var ck [16]byte
-	var mk [32]byte
-	copy(ck[:], "tunnel-cipher-k!")
-	copy(mk[:], "tunnel-hmac-key-tunnel-hmac-key-")
-	ck[15] = byte(i)
-	mk[31] = byte(i)
-	rx = NewCipher(ck, mk)
-	ck[14] ^= 0xa5 // distinct key per direction
-	tx = NewCipher(ck, mk)
-	return rx, tx
+	rk, tk, mk := connKeys(i)
+	return NewCipher(rk, mk), NewCipher(tk, mk)
 }
 
 // PoolServer is the openVPN relay over the fabric: a CallPool whose one
@@ -341,12 +330,8 @@ func (s *PoolServer) tunnel(requester int, data uint64, segs []core.Segment) uin
 	t.mu.Lock()
 	defer t.mu.Unlock()
 
-	id := binary.BigEndian.Uint32(hdr[:packetIDSize])
-	want := segMac(t.rx, hdr[:packetIDSize], body)
-	if !hmac.Equal(want[:], hdr[packetIDSize:FrameOverhead]) {
-		return ^uint64(0)
-	}
-	if !t.rxWin.accept(id) {
+	id, ok := t.rx.authentic(hdr, body)
+	if !ok || !t.rxWin.accept(id) {
 		return ^uint64(0)
 	}
 	// Decrypt in place: the ciphertext window becomes the plaintext
@@ -355,12 +340,7 @@ func (s *PoolServer) tunnel(requester int, data uint64, segs []core.Segment) uin
 
 	// Re-seal for the outbound direction in place: fresh packet ID,
 	// re-encrypt, recompute the MAC into the same header window.
-	oid := t.tx.nextID
-	t.tx.nextID++
-	binary.BigEndian.PutUint32(hdr[:packetIDSize], oid)
-	t.tx.stream(oid).XORKeyStream(body, body)
-	mac := segMac(t.tx, hdr[:packetIDSize], body)
-	copy(hdr[packetIDSize:FrameOverhead], mac[:])
+	t.tx.seal(hdr, body, body)
 	return uint64(FrameOverhead) + uint64(len(body))
 }
 
@@ -398,25 +378,27 @@ func (c *PoolConn) sealInto(payload []byte) (slab uint32, segs [2]core.Segment, 
 // verifyOut authenticates and decrypts one relayed output frame with
 // the peer's receive context (reorder-tolerant: concurrent responders
 // may commit a window slightly out of order) and checks the payload
-// round-tripped.
+// round-tripped.  It decrypts in place, so frame must be bytes the
+// connection owns and is done with: the slab it is about to release.
 func (c *PoolConn) verifyOut(frame, payload []byte) error {
 	if len(frame) != FrameOverhead+len(payload) {
 		return ErrShortPkt
 	}
-	id := binary.BigEndian.Uint32(frame[:packetIDSize])
-	want := segMac(c.peerVerify, frame[:packetIDSize], frame[FrameOverhead:])
-	if !hmac.Equal(want[:], frame[packetIDSize:FrameOverhead]) {
+	body := frame[FrameOverhead:]
+	id, ok := c.peerVerify.authentic(frame[:FrameOverhead], body)
+	if !ok {
 		return ErrBadMAC
 	}
 	if !c.peerWin.accept(id) {
 		return ErrReplay
 	}
-	out := make([]byte, len(payload))
-	c.peerVerify.stream(id).XORKeyStream(out, frame[FrameOverhead:])
-	for i := range out {
-		if out[i] != payload[i] {
-			return fmt.Errorf("openvpn: payload corrupted at byte %d", i)
+	c.peerVerify.stream(id).XORKeyStream(body, body)
+	if !bytes.Equal(body, payload) {
+		i := 0
+		for body[i] == payload[i] {
+			i++
 		}
+		return fmt.Errorf("openvpn: payload corrupted at byte %d", i)
 	}
 	return nil
 }

@@ -257,3 +257,58 @@ func TestPoolTunnelFlightBytes(t *testing.T) {
 		t.Error("flight_callsite_bytes_total missing from exposition")
 	}
 }
+
+// streamWindow is one full vpn-stream window: alternating 64 B and
+// 1400 B datagrams.
+func streamWindow() [][]byte {
+	payloads := make([][]byte, vpnWindow)
+	for i := range payloads {
+		n := 64
+		if i%2 == 1 {
+			n = 1400
+		}
+		payloads[i] = testPayload(n, i)
+	}
+	return payloads
+}
+
+// TestPoolStreamAllocs pins the tunnel's per-frame allocation budget.
+// Each frame crosses four crypto operations — the peer seals, the relay
+// opens and re-seals, the peer verifies — and the only allocation left
+// in each is cipher.NewCTR's keystream, so a 16-frame Stream window may
+// allocate at most 4 per frame.  Re-keying the HMAC per frame or copying
+// a frame to MAC or verify it breaks the budget.
+func TestPoolStreamAllocs(t *testing.T) {
+	s := NewPoolServer(1, fastVPNOpts(1))
+	s.Start()
+	defer s.Stop()
+	c := s.Conn(0)
+	payloads := streamWindow()
+	allocs := testing.AllocsPerRun(50, func() {
+		if n, err := c.Stream(payloads); err != nil || n != vpnWindow {
+			t.Fatalf("Stream = (%d, %v)", n, err)
+		}
+	})
+	if allocs > 4*vpnWindow {
+		t.Fatalf("Stream allocates %.0f per %d-frame window, want <= %d (one per cipher.NewCTR)",
+			allocs, vpnWindow, 4*vpnWindow)
+	}
+}
+
+// BenchmarkPoolStream relays full vpn-stream windows through one
+// connection; ns/op and allocs/op are per 16-frame window.
+func BenchmarkPoolStream(b *testing.B) {
+	s := NewPoolServer(1, core.PoolOptions{})
+	s.Start()
+	defer s.Stop()
+	c := s.Conn(0)
+	payloads := streamWindow()
+	b.SetBytes(int64(vpnWindow / 2 * (64 + 1400)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if n, err := c.Stream(payloads); err != nil || n != vpnWindow {
+			b.Fatalf("Stream = (%d, %v)", n, err)
+		}
+	}
+}

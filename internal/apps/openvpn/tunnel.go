@@ -13,6 +13,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"hash"
 )
 
 // Tunnel framing: 4-byte packet ID (replay protection) + 16-byte truncated
@@ -30,13 +31,24 @@ var (
 	ErrShortPkt = errors.New("openvpn: truncated packet")
 )
 
-// Cipher is one direction of the tunnel: an AES-CTR key, an HMAC key, and
-// the replay window.  It mirrors an OpenSSL EVP cipher context; openVPN
-// consults the PRNG (and thus calls getpid via OpenSSL) around context
-// operations, which is why getpid appears in Table 2.
+// Cipher is one direction of the tunnel: an AES-CTR key, a keyed
+// HMAC-SHA256 state, and the replay window.  It mirrors an OpenSSL EVP
+// cipher context; openVPN consults the PRNG (and thus calls getpid via
+// OpenSSL) around context operations, which is why getpid appears in
+// Table 2.
+//
+// The HMAC is keyed once, in NewCipher: each frame resets the keyed
+// state instead of rebuilding the key pads, and the MAC sum and CTR IV
+// land in buffers the Cipher owns, so a frame's only allocation is the
+// CTR stream itself.  That makes a Cipher mutable on every operation,
+// Open and the MAC check included: it is not safe for concurrent use.
+// Serialize access, as the fabric relay does on its per-connection
+// lock, or give each goroutine its own Cipher.
 type Cipher struct {
 	block   cipher.Block
-	macKey  [32]byte
+	h       hash.Hash // HMAC-SHA256 keyed with the MAC key; Reset per frame
+	sum     [sha256.Size]byte
+	iv      [aes.BlockSize]byte
 	nextID  uint32 // sender: next packet ID
 	highest uint32 // receiver: highest ID seen (replay floor)
 }
@@ -47,34 +59,52 @@ func NewCipher(key [16]byte, macKey [32]byte) *Cipher {
 	if err != nil {
 		panic(err) // fixed-size key cannot fail
 	}
-	return &Cipher{block: block, macKey: macKey, nextID: 1}
+	return &Cipher{block: block, h: hmac.New(sha256.New, macKey[:]), nextID: 1}
 }
 
+// stream returns the CTR keystream for packet id (IV = id, big-endian,
+// zero-padded).
 func (c *Cipher) stream(id uint32) cipher.Stream {
-	var iv [16]byte
-	binary.BigEndian.PutUint32(iv[:], id)
-	return cipher.NewCTR(c.block, iv[:])
+	binary.BigEndian.PutUint32(c.iv[:], id) // bytes 4.. stay zero
+	return cipher.NewCTR(c.block, c.iv[:])
 }
 
-func (c *Cipher) mac(frame []byte) [macSize]byte {
-	h := hmac.New(sha256.New, c.macKey[:])
-	h.Write(frame)
-	var out [macSize]byte
-	copy(out[:], h.Sum(nil))
-	return out
+// mac computes the truncated tunnel MAC over a frame's packet-ID header
+// and ciphertext body, written as two pieces so no caller has to
+// coalesce them.  The result aliases the Cipher's sum buffer and is
+// valid until the next call.
+func (c *Cipher) mac(hdr, body []byte) []byte {
+	c.h.Reset()
+	c.h.Write(hdr)
+	c.h.Write(body)
+	return c.h.Sum(c.sum[:0])[:macSize]
+}
+
+// seal encrypts plaintext into ct (which may alias it exactly) under the
+// next packet ID and writes the packet ID and MAC into the
+// FrameOverhead-byte header hdr.
+func (c *Cipher) seal(hdr, ct, plaintext []byte) {
+	id := c.nextID
+	c.nextID++
+	binary.BigEndian.PutUint32(hdr[:packetIDSize], id)
+	c.stream(id).XORKeyStream(ct, plaintext)
+	copy(hdr[packetIDSize:FrameOverhead], c.mac(hdr[:packetIDSize], ct))
+}
+
+// authentic checks a frame's MAC in constant time and returns its packet
+// ID.  Replay policy is the caller's: Open keeps a strict floor, the
+// fabric relay a reorder-tolerant window.
+func (c *Cipher) authentic(hdr, ct []byte) (uint32, bool) {
+	ok := hmac.Equal(c.mac(hdr[:packetIDSize], ct), hdr[packetIDSize:FrameOverhead])
+	return binary.BigEndian.Uint32(hdr[:packetIDSize]), ok
 }
 
 // Seal encrypts and authenticates one plaintext packet into dst and
 // returns the frame length.
 func (c *Cipher) Seal(dst, plaintext []byte) int {
-	id := c.nextID
-	c.nextID++
-	binary.BigEndian.PutUint32(dst[:packetIDSize], id)
-	ct := dst[FrameOverhead : FrameOverhead+len(plaintext)]
-	c.stream(id).XORKeyStream(ct, plaintext)
-	mac := c.mac(append(dst[:packetIDSize:packetIDSize], ct...))
-	copy(dst[packetIDSize:FrameOverhead], mac[:])
-	return FrameOverhead + len(plaintext)
+	n := FrameOverhead + len(plaintext)
+	c.seal(dst[:FrameOverhead], dst[FrameOverhead:n], plaintext)
+	return n
 }
 
 // Open authenticates and decrypts one frame into dst, enforcing the
@@ -83,10 +113,9 @@ func (c *Cipher) Open(dst, frame []byte) (int, error) {
 	if len(frame) < FrameOverhead {
 		return 0, ErrShortPkt
 	}
-	id := binary.BigEndian.Uint32(frame[:packetIDSize])
 	ct := frame[FrameOverhead:]
-	want := c.mac(append(frame[:packetIDSize:packetIDSize], ct...))
-	if !hmac.Equal(want[:], frame[packetIDSize:FrameOverhead]) {
+	id, ok := c.authentic(frame[:FrameOverhead], ct)
+	if !ok {
 		return 0, ErrBadMAC
 	}
 	if id <= c.highest {

@@ -47,47 +47,59 @@ import (
 // where adjacent-line false sharing would hurt.
 const cacheLine = 64
 
-// Slot states.  A slot cycles posted ← idle ← done ← posted; the claim
-// step (responder taking ownership) is the shard tail CAS, not a state
-// transition, so the responder writes the state word exactly once per
-// call (the done release-store that doubles as the completion signal).
+// Slot handoff words.  Each slot carries one atomic word, seq, that
+// packs the ring position the slot serves (its lap) with its state, in
+// the style of Vyukov's bounded MPMC queue: seq = pos<<2 | state.  A
+// slot for position pos cycles
+//
+//	idle(pos) → posted(pos) → done(pos) → idle(pos+ring depth)
+//
+// The claim step (responder taking ownership) is the shard tail CAS, not
+// a state transition, so the responder writes seq exactly once per call
+// (the done release-store that doubles as the completion signal).
+// Because the word names the position, a responder counting a run from
+// a tail it loaded can never mistake a previous lap's claimed-but-
+// unfinished call for a fresh post: that cell reads posted(pos-depth),
+// not posted(pos).
 const (
-	slotIdle uint32 = iota
+	slotIdle uint64 = iota
 	slotPosted
 	slotDone
 )
 
+// seqWord is the handoff word for position pos in the given state.
+func seqWord(pos, state uint64) uint64 { return pos<<2 | state }
+
 // poolSlot is one call cell.  Layout matters:
 //
-//	line 0 (requester-written): state, id, data, nseg.  The state word is
+//	line 0 (requester-written): seq, id, data, nseg.  The seq word is
 //	  the handoff flag both sides read, but only the requester and the
 //	  one claiming responder ever write it, one store each per call.
 //	  nseg rides here so the 0-segment legacy path clears it on a line it
 //	  is already writing, never touching line 1.
 //	line 1 (requester-written): the scatter-gather descriptor block
-//	  (ring.go).  Only zero-copy calls write it; the slotPosted release
-//	  store on line 0 is its publication fence, exactly as for fr.
+//	  (ring.go).  Only zero-copy calls write it; the posted release store
+//	  of seq on line 0 is its publication fence, exactly as for fr.
 //	line 2 (responder-written): ret.  Kept off the requester lines so the
 //	  responder storing a result does not invalidate a line a pipelining
 //	  requester is concurrently posting its next call on.
 //
 // fr is the call's flight record (nil on unsampled calls or with the
 // recorder detached).  It rides line 0 with the other requester-written
-// words: the requester stores it before the slotPosted release store and
-// the responder reads it after the acquire load of state, so the
-// existing handoff protocol is also its publication fence.
+// words: the requester stores it before the posted release store and
+// the responder reads it after the acquire load of seq, so the existing
+// handoff protocol is also its publication fence.
 type poolSlot struct {
-	state atomic.Uint32
-	_     [4]byte
-	id    CallID
-	data  uint64
-	fr    *flight.Record
-	nseg  uint32
-	_     [cacheLine - 36]byte
-	segs  [MaxSegs]Segment
-	_     [cacheLine - 12*MaxSegs]byte
-	ret   uint64
-	_     [cacheLine - 8]byte
+	seq  atomic.Uint64
+	id   CallID
+	data uint64
+	fr   *flight.Record
+	nseg uint32
+	_    [cacheLine - 36]byte
+	segs [MaxSegs]Segment
+	_    [cacheLine - 12*MaxSegs]byte
+	ret  uint64
+	_    [cacheLine - 8]byte
 }
 
 // PoolFunc is a fabric call-table entry.  requester identifies the
@@ -111,9 +123,21 @@ type shard struct {
 	_    [cacheLine - 8]byte
 }
 
-// hasWork reports whether the slot at the claim cursor is posted.
+// newShard builds a ring of depth slots (a power of two), each slot
+// idle for its first-lap position.
+func newShard(depth int) *shard {
+	sh := &shard{slots: make([]poolSlot, depth), mask: uint64(depth - 1)}
+	for i := range sh.slots {
+		sh.slots[i].seq.Store(seqWord(uint64(i), slotIdle))
+	}
+	return sh
+}
+
+// hasWork reports whether the slot at the claim cursor is posted for
+// the cursor's position.
 func (sh *shard) hasWork() bool {
-	return sh.slots[sh.tail.Load()&sh.mask].state.Load() == slotPosted
+	t := sh.tail.Load()
+	return sh.slots[t&sh.mask].seq.Load() == seqWord(t, slotPosted)
 }
 
 // PoolOptions tunes a CallPool.  The zero value selects the defaults
@@ -286,10 +310,7 @@ func NewCallPool(table []PoolFunc, opts PoolOptions) *CallPool {
 	p := &CallPool{opts: opts, table: table}
 	p.shards = make([]*shard, opts.Shards)
 	for i := range p.shards {
-		p.shards[i] = &shard{
-			slots: make([]poolSlot, opts.SlotsPerShard),
-			mask:  uint64(opts.SlotsPerShard - 1),
-		}
+		p.shards[i] = newShard(opts.SlotsPerShard)
 	}
 	if opts.RingSlabs > 0 {
 		p.rings = make([]*PayloadRing, opts.Shards)
@@ -391,13 +412,13 @@ type Requester struct {
 func (r *Requester) Index() int { return r.idx }
 
 // post plants one call in the requester's ring, spinning through the
-// attempt budget when the window is full.  On success the slot pointer
-// and the call's flight record (nil when unsampled or detached) are
+// attempt budget when the window is full.  On success the call's ring
+// position and its flight record (nil when unsampled or detached) are
 // returned for the completion wait.  The flight stamp happens before
 // the submission spin, so a window-full wait is part of the recorded
 // latency; the record is closed on every exit path, so a timeout or
 // shutdown never leaves an open record to wedge the digest.
-func (r *Requester) post(cs flight.Callsite, id CallID, data uint64) (*poolSlot, *flight.Record, error) {
+func (r *Requester) post(cs flight.Callsite, id CallID, data uint64) (uint64, *flight.Record, error) {
 	p := r.pool
 	sh := r.shard
 	p.requests.Inc()
@@ -414,10 +435,11 @@ func (r *Requester) post(cs flight.Callsite, id CallID, data uint64) (*poolSlot,
 	for attempt := 0; attempt < p.opts.Timeout; attempt++ {
 		if p.stopped.Load() {
 			p.flight.Stopped(fr)
-			return nil, nil, ErrStopped
+			return 0, nil, ErrStopped
 		}
-		s := &sh.slots[sh.head&sh.mask]
-		if s.state.Load() == slotIdle {
+		pos := sh.head
+		s := &sh.slots[pos&sh.mask]
+		if s.seq.Load() == seqWord(pos, slotIdle) {
 			s.id = id
 			s.data = data
 			if p.flight != nil {
@@ -429,12 +451,12 @@ func (r *Requester) post(cs flight.Callsite, id CallID, data uint64) (*poolSlot,
 			// prior zero-copy call's descriptors; nseg lives on this
 			// line, so the store costs no extra coherence traffic.
 			s.nseg = 0
-			s.state.Store(slotPosted)
+			s.seq.Store(seqWord(pos, slotPosted))
 			sh.head++
 			if p.sleepers.Load() != 0 {
 				p.wake.Signal()
 			}
-			return s, fr, nil
+			return pos, fr, nil
 		}
 		// Window full: every slot in the ring holds an in-flight or
 		// un-reaped call.  Yield so responders (and, on a single
@@ -443,7 +465,38 @@ func (r *Requester) post(cs flight.Callsite, id CallID, data uint64) (*poolSlot,
 	}
 	p.timeouts.Inc()
 	p.flight.Timeout(cs, r.idx, fr)
-	return nil, nil, ErrTimeout
+	return 0, nil, ErrTimeout
+}
+
+// reap frees the slot of a collected call at ring position pos for its
+// next lap.  Requester-only, after the done load of seq.
+func (sh *shard) reap(s *poolSlot, pos uint64) {
+	s.seq.Store(seqWord(pos+sh.mask+1, slotIdle))
+}
+
+// await spins until the call at ring position pos completes, collects
+// its result, and frees the slot: the completion wait shared by CallAt
+// and CallZCAt.
+func (r *Requester) await(pos uint64, fr *flight.Record) (uint64, error) {
+	sh := r.shard
+	s := &sh.slots[pos&sh.mask]
+	for {
+		if s.seq.Load() == seqWord(pos, slotDone) {
+			ret := s.ret
+			if fr != nil {
+				// Complete = Return + the armed tail sampler's outlier
+				// check (one plain cutoff load + compare).
+				r.pool.flight.Complete(fr)
+			}
+			sh.reap(s, pos)
+			return ret, nil
+		}
+		if r.pool.stopped.Load() {
+			r.pool.flight.Stopped(fr)
+			return 0, ErrStopped
+		}
+		pause()
+	}
 }
 
 // Call executes call-table entry id with data through the fabric and
@@ -461,27 +514,11 @@ func (r *Requester) Call(id CallID, data uint64) (uint64, error) {
 // the call's arrival rate, timeline, and wasted-spin share aggregate
 // under that callsite in /debug/flight.
 func (r *Requester) CallAt(cs flight.Callsite, id CallID, data uint64) (uint64, error) {
-	s, fr, err := r.post(cs, id, data)
+	pos, fr, err := r.post(cs, id, data)
 	if err != nil {
 		return 0, err
 	}
-	for {
-		if s.state.Load() == slotDone {
-			ret := s.ret
-			if fr != nil {
-				// Complete = Return + the armed tail sampler's outlier
-				// check (one plain cutoff load + compare).
-				r.pool.flight.Complete(fr)
-			}
-			s.state.Store(slotIdle)
-			return ret, nil
-		}
-		if r.pool.stopped.Load() {
-			r.pool.flight.Stopped(fr)
-			return 0, ErrStopped
-		}
-		pause()
-	}
+	return r.await(pos, fr)
 }
 
 // CallOrFallback is Call with the paper's starvation mitigation: a
@@ -506,9 +543,10 @@ func (r *Requester) CallOrFallbackAt(cs flight.Callsite, id CallID, data uint64,
 // steady-state Submit/Wait path allocates nothing.  A collected handle
 // must not be reused.
 type PoolPending struct {
-	pool *CallPool
-	slot *poolSlot
-	fr   *flight.Record
+	pool  *CallPool
+	shard *shard
+	pos   uint64 // the call's ring position
+	fr    *flight.Record
 
 	// Slab-recycle attachment (RecycleSlab): slabs given back to ring
 	// when the completion is reaped.  A call references at most MaxSegs
@@ -553,27 +591,24 @@ func (r *Requester) Submit(id CallID, data uint64) (*PoolPending, error) {
 // SubmitAt is Submit stamped with a registered flight-recorder
 // callsite (see CallAt).
 func (r *Requester) SubmitAt(cs flight.Callsite, id CallID, data uint64) (*PoolPending, error) {
-	s, fr, err := r.post(cs, id, data)
+	pos, fr, err := r.post(cs, id, data)
 	if err != nil {
 		return nil, err
 	}
-	pd := r.pool.pendingPool.Get().(*PoolPending)
-	pd.pool = r.pool
-	pd.slot = s
-	pd.fr = fr
-	return pd, nil
+	return r.pending(pos, fr), nil
 }
 
 // Poll checks for completion without blocking.  Once it returns a
 // result the handle is recycled and the slot is free for reuse.
 func (pd *PoolPending) Poll() (uint64, error) {
-	s := pd.slot
-	if s.state.Load() == slotDone {
+	sh := pd.shard
+	s := &sh.slots[pd.pos&sh.mask]
+	if s.seq.Load() == seqWord(pd.pos, slotDone) {
 		ret := s.ret
 		if pd.fr != nil {
 			pd.pool.flight.Complete(pd.fr)
 		}
-		s.state.Store(slotIdle)
+		sh.reap(s, pd.pos)
 		pd.releaseSlabs()
 		pd.release()
 		return ret, nil
@@ -598,10 +633,20 @@ func (pd *PoolPending) Wait() (uint64, error) {
 	}
 }
 
+// pending wraps a posted call at ring position pos in a recycled handle.
+func (r *Requester) pending(pos uint64, fr *flight.Record) *PoolPending {
+	pd := r.pool.pendingPool.Get().(*PoolPending)
+	pd.pool = r.pool
+	pd.shard = r.shard
+	pd.pos = pos
+	pd.fr = fr
+	return pd
+}
+
 func (pd *PoolPending) release() {
 	pool := pd.pool
 	pd.pool = nil
-	pd.slot = nil
+	pd.shard = nil
 	pd.fr = nil
 	pd.ring = nil
 	pd.nrslab = 0

@@ -14,9 +14,9 @@ package core
 //     requester writes payload bytes into a slab it owns and posts a
 //     {slab, offset, length} descriptor; the responder reads and writes
 //     the bytes in place.  Slab ownership follows the slot protocol the
-//     fabric already has — the requester's slotPosted release store
+//     fabric already has — the requester's posted release store
 //     publishes the payload bytes along with the descriptors, and the
-//     responder's slotDone store publishes any in-place results — so the
+//     responder's done store publishes any in-place results — so the
 //     bytes need no synchronization of their own.
 //
 //   - Segment: one {slab, offset, length} descriptor.  A call carries up
@@ -164,13 +164,13 @@ func segTotal(segs []Segment) (n uint64) {
 
 // postZC is post with scatter-gather descriptors: identical slot
 // protocol, plus the descriptor block written on its own
-// requester-owned line before the slotPosted release store that
+// requester-owned line before the posted release store that
 // publishes slab bytes and descriptors together.  signal=false defers
 // the sleeper wakeup to the caller (SubmitV's single-wakeup batching).
 // Payload bytes are counted per callsite for the flight recorder, so
 // the what-if router can price per-byte cost (len(segs) must be in
 // [1, MaxSegs]; Call/Submit cover the 0-segment case).
-func (r *Requester) postZC(cs flight.Callsite, id CallID, data uint64, segs []Segment, signal bool) (*poolSlot, *flight.Record, error) {
+func (r *Requester) postZC(cs flight.Callsite, id CallID, data uint64, segs []Segment, signal bool) (uint64, *flight.Record, error) {
 	p := r.pool
 	sh := r.shard
 	p.requests.Inc()
@@ -187,10 +187,11 @@ func (r *Requester) postZC(cs flight.Callsite, id CallID, data uint64, segs []Se
 	for attempt := 0; attempt < p.opts.Timeout; attempt++ {
 		if p.stopped.Load() {
 			p.flight.Stopped(fr)
-			return nil, nil, ErrStopped
+			return 0, nil, ErrStopped
 		}
-		s := &sh.slots[sh.head&sh.mask]
-		if s.state.Load() == slotIdle {
+		pos := sh.head
+		s := &sh.slots[pos&sh.mask]
+		if s.seq.Load() == seqWord(pos, slotIdle) {
 			s.id = id
 			s.data = data
 			if p.flight != nil {
@@ -198,18 +199,18 @@ func (r *Requester) postZC(cs flight.Callsite, id CallID, data uint64, segs []Se
 			}
 			s.nseg = uint32(len(segs))
 			copy(s.segs[:], segs)
-			s.state.Store(slotPosted)
+			s.seq.Store(seqWord(pos, slotPosted))
 			sh.head++
 			if signal && p.sleepers.Load() != 0 {
 				p.wake.Signal()
 			}
-			return s, fr, nil
+			return pos, fr, nil
 		}
 		pause()
 	}
 	p.timeouts.Inc()
 	p.flight.Timeout(cs, r.idx, fr)
-	return nil, nil, ErrTimeout
+	return 0, nil, ErrTimeout
 }
 
 // CallZC executes a scatter-gather call and waits for the result: the
@@ -222,25 +223,11 @@ func (r *Requester) CallZC(id CallID, data uint64, segs []Segment) (uint64, erro
 
 // CallZCAt is CallZC stamped with a registered flight-recorder callsite.
 func (r *Requester) CallZCAt(cs flight.Callsite, id CallID, data uint64, segs []Segment) (uint64, error) {
-	s, fr, err := r.postZC(cs, id, data, segs, true)
+	pos, fr, err := r.postZC(cs, id, data, segs, true)
 	if err != nil {
 		return 0, err
 	}
-	for {
-		if s.state.Load() == slotDone {
-			ret := s.ret
-			if fr != nil {
-				r.pool.flight.Complete(fr)
-			}
-			s.state.Store(slotIdle)
-			return ret, nil
-		}
-		if r.pool.stopped.Load() {
-			r.pool.flight.Stopped(fr)
-			return 0, ErrStopped
-		}
-		pause()
-	}
+	return r.await(pos, fr)
 }
 
 // SubmitZC plants a scatter-gather call without waiting.  Slabs the call
@@ -253,15 +240,11 @@ func (r *Requester) SubmitZC(id CallID, data uint64, segs []Segment) (*PoolPendi
 // SubmitZCAt is SubmitZC stamped with a registered flight-recorder
 // callsite.
 func (r *Requester) SubmitZCAt(cs flight.Callsite, id CallID, data uint64, segs []Segment) (*PoolPending, error) {
-	s, fr, err := r.postZC(cs, id, data, segs, true)
+	pos, fr, err := r.postZC(cs, id, data, segs, true)
 	if err != nil {
 		return nil, err
 	}
-	pd := r.pool.pendingPool.Get().(*PoolPending)
-	pd.pool = r.pool
-	pd.slot = s
-	pd.fr = fr
-	return pd, nil
+	return r.pending(pos, fr), nil
 }
 
 // VecCall is one entry of a vectored submit window.
@@ -353,16 +336,17 @@ func (b *PoolBatch) WaitAll(rets []uint64) error {
 	sh := b.shard
 	var err error
 	for j := 0; j < b.n && err == nil; j++ {
-		s := &sh.slots[(b.start+uint64(j))&sh.mask]
+		pos := b.start + uint64(j)
+		s := &sh.slots[pos&sh.mask]
 		for {
-			if s.state.Load() == slotDone {
+			if s.seq.Load() == seqWord(pos, slotDone) {
 				if rets != nil && j < len(rets) {
 					rets[j] = s.ret
 				}
 				if p.flight != nil && s.fr != nil {
 					p.flight.Complete(s.fr)
 				}
-				s.state.Store(slotIdle)
+				sh.reap(s, pos)
 				break
 			}
 			if p.stopped.Load() {

@@ -169,13 +169,19 @@ func (p *CallPool) scanPass(idx, pass int) (polls, execs uint64) {
 		// shard forever.
 		for drained := 0; drained < len(sh.slots); {
 			t := sh.tail.Load()
-			// Count the posted run from the claim cursor.
 			limit := len(sh.slots) - drained
 			if limit > maxClaimBatch {
 				limit = maxClaimBatch
 			}
+			// Count the run from the claim cursor over cells posted for
+			// exactly position t+run: a previous lap's claimed,
+			// unfinished call ends the run (see seqWord).
 			run := 0
-			for run < limit && sh.slots[(t+uint64(run))&sh.mask].state.Load() == slotPosted {
+			for run < limit {
+				pos := t + uint64(run)
+				if sh.slots[pos&sh.mask].seq.Load() != seqWord(pos, slotPosted) {
+					break
+				}
 				run++
 			}
 			if run < limit {
@@ -190,13 +196,14 @@ func (p *CallPool) scanPass(idx, pass int) (polls, execs uint64) {
 			}
 			// The CAS makes calls t..t+run-1 exclusively ours: execute
 			// each, publish its result on the responder-written line,
-			// then signal completion with the one state store.  Sampled
+			// then signal completion with the one seq store.  Sampled
 			// calls carry a flight record in s.fr (published by the
-			// slotPosted store); three clock reads bracket the handler
+			// posted store); three clock reads bracket the handler
 			// so the record's causal timeline separates claim latency
 			// from handler service time.
 			for j := 0; j < run; j++ {
-				s := &sh.slots[(t+uint64(j))&sh.mask]
+				pos := t + uint64(j)
+				s := &sh.slots[pos&sh.mask]
 				id, data := s.id, s.data
 				fr := s.fr
 				f := p.flight
@@ -224,7 +231,7 @@ func (p *CallPool) scanPass(idx, pass int) (polls, execs uint64) {
 					fr.ExecEnd(f.Now())
 				}
 				s.ret = ret
-				s.state.Store(slotDone)
+				s.seq.Store(seqWord(pos, slotDone))
 			}
 			execs += uint64(run)
 			drained += run
